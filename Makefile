@@ -16,8 +16,11 @@ test:
 # Race-detector gate: every concurrency-sensitive test (pager races,
 # singleflight, QueryBatch, SyncIndex stress, server admission/drain,
 # crash matrix, compaction vs concurrent commits) must pass under -race.
+# The pager's shared read views and the server's parallel response
+# encoder get ten repetitions of their concurrency tests.
 race:
 	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact' ./internal/pager ./internal/server ./...
+	$(GO) test -race -count=10 -run 'Concurrent|Singleflight' ./internal/pager ./internal/server
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -29,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRelateSymmetry -fuzztime 20s -run '^$$' ./internal/geom
 	$(GO) test -fuzz FuzzPlanarize -fuzztime 20s -run '^$$' ./internal/geom
 	$(GO) test -fuzz FuzzShardRoute -fuzztime 20s -run '^$$' .
+	$(GO) test -fuzz FuzzQueryResponseEncode -fuzztime 20s -run '^$$' ./internal/server
 
 # End-to-end serving gate: gen → build → segdbd → segload → /statsz.
 serve-smoke:

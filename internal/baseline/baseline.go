@@ -119,7 +119,7 @@ func (s *Scan) Insert(sg geom.Segment) error {
 		return nil
 	}
 	id := s.pages[len(s.pages)-1]
-	page, err := s.st.Read(id)
+	page, err := s.st.ReadForUpdate(id)
 	if err != nil {
 		return err
 	}

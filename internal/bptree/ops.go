@@ -36,7 +36,7 @@ func (t *Tree) Insert(k Key, val []byte) error {
 }
 
 func (t *Tree) insertAt(id pager.PageID, level int, k Key, val []byte) (bool, Key, pager.PageID, error) {
-	page, err := t.st.Read(id)
+	page, err := t.st.ReadForUpdate(id)
 	if err != nil {
 		return false, Key{}, 0, err
 	}
@@ -106,7 +106,7 @@ func (t *Tree) insertLeaf(id pager.PageID, v nodeView, k Key, val []byte) (bool,
 	rv.setPrev(id)
 	v.setNext(rightID)
 	if oldNext != pager.InvalidPage {
-		npage, err := t.st.Read(oldNext)
+		npage, err := t.st.ReadForUpdate(oldNext)
 		if err != nil {
 			return false, Key{}, 0, err
 		}
@@ -157,7 +157,7 @@ func (t *Tree) Delete(k Key) (bool, error) {
 	}
 	// Equal keys may span leaves; walk forward while the key matches.
 	for id != pager.InvalidPage {
-		page, err := t.st.Read(id)
+		page, err := t.st.ReadForUpdate(id)
 		if err != nil {
 			return false, err
 		}
@@ -412,7 +412,7 @@ func Bulk(st *pager.Store, valSize int, items []Item, fillFraction float64) (*Tr
 		v.setCount(end - start)
 		v.setPrev(prevLeaf)
 		if prevLeaf != pager.InvalidPage {
-			ppage, err := st.Read(prevLeaf)
+			ppage, err := st.ReadForUpdate(prevLeaf)
 			if err != nil {
 				return nil, err
 			}

@@ -161,7 +161,7 @@ func Bulk(st *pager.Store, refX float64, entries []Entry) (*Tree, error) {
 		v.setCount(end - start)
 		v.setPrev(prev)
 		if prev != pager.InvalidPage {
-			pp, err := st.Read(prev)
+			pp, err := st.ReadForUpdate(prev)
 			if err != nil {
 				return nil, err
 			}

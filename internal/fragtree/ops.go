@@ -75,7 +75,7 @@ func (t *Tree) leafLowerBound(v nview, e Entry) int {
 }
 
 func (t *Tree) insertAt(id pager.PageID, level int, e Entry) (bool, geom.Segment, pager.PageID, error) {
-	page, err := t.st.Read(id)
+	page, err := t.st.ReadForUpdate(id)
 	if err != nil {
 		return false, geom.Segment{}, 0, err
 	}
@@ -105,7 +105,7 @@ func (t *Tree) insertAt(id pager.PageID, level int, e Entry) (bool, geom.Segment
 		rv.setPrev(id)
 		v.setNext(rightID)
 		if oldNext != pager.InvalidPage {
-			np, err := t.st.Read(oldNext)
+			np, err := t.st.ReadForUpdate(oldNext)
 			if err != nil {
 				return false, geom.Segment{}, 0, err
 			}
@@ -325,7 +325,7 @@ func (t *Tree) First() (*Cursor, error) {
 
 // SetLeafAux points a leaf's auxiliary reference at a bridge-table page.
 func (t *Tree) SetLeafAux(leaf, aux pager.PageID) error {
-	page, err := t.st.Read(leaf)
+	page, err := t.st.ReadForUpdate(leaf)
 	if err != nil {
 		return err
 	}

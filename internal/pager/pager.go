@@ -10,6 +10,18 @@
 // constant-size internal memory that external-memory algorithms are allowed
 // to use; reads served by the pool are counted as cache hits, not I/Os.
 //
+// # Read-only views
+//
+// Read hands out the page bytes themselves, not a copy: on a pool hit the
+// pool's buffer, on a miss the buffer the device read into, which the pool
+// then caches and every concurrent reader of that page shares. A page read
+// therefore allocates nothing on a hit and one page buffer on a miss. The
+// price is a contract: a slice returned by Read is read-only, forever.
+// Pool buffers are never overwritten — Write installs a fresh copy — so a
+// view stays valid and unchanging after its page is rewritten, evicted or
+// freed. Code that modifies a page and writes it back reads it with
+// ReadForUpdate, which returns an owned copy.
+//
 // # Concurrency
 //
 // Store is a concurrent buffer manager. The pool, its write-version
@@ -58,6 +70,7 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -261,10 +274,18 @@ func (s *Store) Reserve(upTo PageID) {
 	}
 }
 
-// Read returns the contents of page id. The returned slice is owned by the
-// caller and remains valid indefinitely. A read served by the buffer pool
-// is counted as a cache hit; otherwise it is one physical read, shared by
-// every goroutine concurrently missing the same page.
+// Read returns a read-only view of page id: the pool's own buffer on a
+// hit, the buffer the device filled on a miss (which the pool caches and
+// every singleflight waiter shares). No copy is made, so the caller must
+// never write into the view — not even just before writing the page back,
+// because the pool and concurrent readers hold the same bytes. The view
+// stays valid and unchanging indefinitely: a later Write installs a fresh
+// pool buffer instead of overwriting this one. Callers that modify a page
+// and write it back use ReadForUpdate.
+//
+// A read served by the buffer pool is counted as a cache hit; otherwise
+// it is one physical read, shared by every goroutine concurrently missing
+// the same page.
 func (s *Store) Read(id PageID) ([]byte, error) {
 	if id == InvalidPage {
 		return nil, errors.New("pager: read of invalid page")
@@ -272,15 +293,23 @@ func (s *Store) Read(id PageID) ([]byte, error) {
 	sh := s.shard(id)
 	sh.mu.Lock()
 	if data, ok := sh.pool.get(id); ok {
-		// Pool buffers are immutable once installed, so the copy can
-		// happen off-lock; eviction or replacement only drops references.
+		// Pool buffers are immutable once installed; eviction or
+		// replacement only drops the pool's reference.
 		sh.mu.Unlock()
 		sh.stats.cacheHits.Add(1)
-		out := make([]byte, s.pageSize)
-		copy(out, data)
-		return out, nil
+		return data, nil
 	}
 	return s.readMiss(sh, id) // releases sh.mu
+}
+
+// ReadForUpdate returns an owned copy of page id, which the caller may
+// modify and pass to Write. It costs the same as Read in the I/O model.
+func (s *Store) ReadForUpdate(id PageID) ([]byte, error) {
+	view, err := s.Read(id)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(view), nil
 }
 
 // Write stores data as the new contents of page id (write-through: one

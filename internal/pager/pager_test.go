@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -34,22 +35,120 @@ func TestReadAfterWrite(t *testing.T) {
 	}
 }
 
-func TestReadReturnsOwnedCopy(t *testing.T) {
+func TestReadForUpdateReturnsOwnedCopy(t *testing.T) {
+	s := MustOpenMem(64, 4)
+	id := s.Alloc()
+	want := fill(64, 1)
+	if err := s.Write(id, want); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	for _, path := range []string{"hit", "miss"} {
+		if path == "miss" {
+			s.DropCache()
+		}
+		a, err := s.ReadForUpdate(id)
+		if err != nil {
+			t.Fatalf("%s: ReadForUpdate: %v", path, err)
+		}
+		b, _ := s.ReadForUpdate(id)
+		a[0] = ^a[0]
+		if a[0] == b[0] {
+			t.Fatalf("%s: ReadForUpdate results alias each other", path)
+		}
+		if v, _ := s.Read(id); !bytes.Equal(v, want) {
+			t.Fatalf("%s: mutating a ReadForUpdate result changed the pooled page", path)
+		}
+	}
+}
+
+// TestReadViewOutlivesWrite pins the view contract: a Read result is the
+// page as of the read and never changes, even after the page is rewritten.
+func TestReadViewOutlivesWrite(t *testing.T) {
 	s := MustOpenMem(64, 4)
 	id := s.Alloc()
 	if err := s.Write(id, fill(64, 1)); err != nil {
-		t.Fatalf("Write: %v", err)
+		t.Fatal(err)
 	}
-	a, _ := s.Read(id)
-	b, _ := s.Read(id)
-	a[0] = ^a[0]
-	if a[0] == b[0] {
-		t.Fatalf("Read results alias each other")
+	old, _ := s.Read(id)
+	if err := s.Write(id, fill(64, 9)); err != nil {
+		t.Fatal(err)
 	}
-	c, _ := s.Read(id)
-	if c[0] != fill(64, 1)[0] {
-		t.Fatalf("mutating a Read result changed stored data")
+	if !bytes.Equal(old, fill(64, 1)) {
+		t.Fatal("a Write changed the bytes of an earlier Read view")
 	}
+	if cur, _ := s.Read(id); !bytes.Equal(cur, fill(64, 9)) {
+		t.Fatal("Read after Write did not return the new bytes")
+	}
+}
+
+// TestReadAllocations pins the cost of the view contract: a pool hit
+// allocates nothing, and a miss allocates exactly one page buffer (plus
+// its small singleflight record). Pages alternate through a one-page pool,
+// so every miss also evicts — eviction recycles the pool entry.
+func TestReadAllocations(t *testing.T) {
+	const size = 4096
+	s := MustOpenMem(size, 1)
+	a, b := s.Alloc(), s.Alloc()
+	for _, id := range []PageID{a, b} {
+		if err := s.Write(id, fill(size, byte(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Read(b) }); n != 0 {
+		t.Errorf("pool hit: %v allocs/read, want 0", n)
+	}
+	next := a
+	miss := func() {
+		if _, err := s.Read(next); err != nil {
+			t.Fatal(err)
+		}
+		next = a + b - next
+	}
+	s.ResetStats()
+	if n := testing.AllocsPerRun(100, miss); n != 2 {
+		t.Errorf("pool miss: %v allocs/read, want 2 (page buffer + flight)", n)
+	}
+	if st := s.Stats(); st.CacheHits != 0 {
+		t.Fatalf("miss loop hit the pool %d times", st.CacheHits)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		miss()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per < size || per >= 2*size {
+		t.Errorf("pool miss: %d bytes/read, want one %d-byte page buffer", per, size)
+	}
+}
+
+func BenchmarkStoreRead(b *testing.B) {
+	const size = 4096
+	s := MustOpenMem(size, 1)
+	p, q := s.Alloc(), s.Alloc()
+	for _, id := range []PageID{p, q} {
+		if err := s.Write(id, fill(size, byte(id))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Read(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		ids := [2]PageID{p, q} // alternate through the one-page pool
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Read(ids[i&1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestWriteRejectsWrongSize(t *testing.T) {

@@ -9,7 +9,7 @@ import "container/list"
 // from then on; get returns them by reference. Replacement swaps the
 // buffer pointer rather than copying into it, so a slice obtained under
 // the shard lock stays valid and unchanging after the lock is released —
-// readers copy it out off-lock.
+// Store.Read hands it to callers as a read-only view.
 type lruPool struct {
 	capacity int
 	order    *list.List // front = most recently used; values are *poolEntry
@@ -53,10 +53,16 @@ func (p *lruPool) put(id PageID, data []byte) {
 		p.order.MoveToFront(el)
 		return
 	}
-	for p.order.Len() >= p.capacity {
-		back := p.order.Back()
-		p.order.Remove(back)
-		delete(p.byID, back.Value.(*poolEntry).id)
+	if p.order.Len() >= p.capacity {
+		// Recycle the least recently used entry, so a full pool installs a
+		// page without allocating.
+		el := p.order.Back()
+		e := el.Value.(*poolEntry)
+		delete(p.byID, e.id)
+		e.id, e.data = id, data
+		p.order.MoveToFront(el)
+		p.byID[id] = el
+		return
 	}
 	p.byID[id] = p.order.PushFront(&poolEntry{id: id, data: data})
 }

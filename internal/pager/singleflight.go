@@ -2,6 +2,7 @@ package pager
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -11,10 +12,11 @@ import (
 // result, so K concurrent cold readers of one page cost exactly one
 // physical read — and Stats.Reads stays deterministic under concurrency.
 //
-// data and err are written by the leader before done is closed and are
-// immutable afterwards; waiters copy data for their callers.
+// data and err are written by the leader before done is released and are
+// immutable afterwards; waiters return data itself, the same read-only
+// buffer the leader returns and the pool caches.
 type flight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	data []byte
 	err  error
 }
@@ -31,17 +33,13 @@ func (s *Store) readMiss(sh *shard, id PageID) ([]byte, error) {
 	if f, ok := sh.inflight[id]; ok {
 		sh.mu.Unlock()
 		t0 := time.Now()
-		<-f.done
+		f.done.Wait()
 		sh.stats.missNanos.Add(int64(time.Since(t0)))
-		if f.err != nil {
-			return nil, f.err
-		}
-		out := make([]byte, s.pageSize)
-		copy(out, f.data)
-		return out, nil
+		return f.data, f.err
 	}
 
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
+	f.done.Add(1)
 	sh.inflight[id] = f
 	gen := sh.gen
 	epoch := sh.epochs[id]
@@ -69,12 +67,10 @@ func (s *Store) readMiss(sh *shard, id PageID) ([]byte, error) {
 	}
 	sh.mu.Unlock()
 
-	f.data, f.err = buf, err
-	close(f.done)
 	if err != nil {
-		return nil, err
+		buf = nil
 	}
-	out := make([]byte, s.pageSize)
-	copy(out, buf)
-	return out, nil
+	f.data, f.err = buf, err
+	f.done.Done()
+	return buf, err
 }

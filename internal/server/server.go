@@ -450,14 +450,6 @@ type WireSegment struct {
 	BY float64 `json:"by"`
 }
 
-func toWire(segs []segdb.Segment) []WireSegment {
-	out := make([]WireSegment, len(segs))
-	for i, sg := range segs {
-		out[i] = WireSegment{ID: sg.ID, AX: sg.A.X, AY: sg.A.Y, BX: sg.B.X, BY: sg.B.Y}
-	}
-	return out
-}
-
 // QueryResult is one query's answer.
 type QueryResult struct {
 	Count int           `json:"count"`
@@ -541,12 +533,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	cur := s.cur()
-	var resp QueryResponse
+	summary := func() string { return querySummary(&req) }
 	var answers int
 	var io QueryIO
-	var results []segdb.BatchResult // batch form only; slow-log attribution
+	var par int
+	var hits []segdb.Segment        // single form with hits
+	var results []segdb.BatchResult // batch form
 	if ep == EPBatch {
-		par := req.Parallelism
+		par = req.Parallelism
 		if par <= 0 || par > s.cfg.BatchParallelism {
 			par = s.cfg.BatchParallelism
 		}
@@ -560,33 +554,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// of burning a worker pool on answers nobody will receive. Each
 		// subquery gets its own query span from the batch runner.
 		results = cur.ix.QueryBatchContext(ctx, queries, par)
-		resp.Results = make([]QueryResult, len(results))
-		for i, br := range results {
-			qr := QueryResult{Count: len(br.Hits)}
-			if !req.OmitHits {
-				qr.Hits = toWire(br.Hits)
-			}
-			if br.Err != nil {
-				qr.Error = br.Err.Error()
-			}
-			answers += len(br.Hits)
-			io.Add(br.Stats)
-			resp.Results[i] = qr
+		for i := range results {
+			answers += len(results[i].Hits)
+			io.Add(results[i].Stats)
 		}
 		if err := ctx.Err(); err != nil {
 			s.metrics.OnFailure(ep)
-			s.observeSlow(ep, querySummary(&req), time.Since(start), io, answers, "deadline", root, results)
+			s.observeSlow(ep, summary, time.Since(start), io, answers, "deadline", root, results)
 			httpError(w, http.StatusServiceUnavailable, "batch exceeded deadline: "+err.Error())
 			return
 		}
 	} else {
-		var hits []segdb.Segment
+		// A count-only query counts its answers as they are emitted
+		// instead of collecting segments nobody will see.
+		emit := func(sg segdb.Segment) { hits = append(hits, sg) }
+		if req.OmitHits {
+			emit = func(segdb.Segment) { answers++ }
+		}
 		qctx, qsp := trace.StartSpan(ctx, trace.StageQuery)
-		st, err := cur.ix.QueryContext(qctx, req.QuerySpec.Query(), func(sg segdb.Segment) {
-			hits = append(hits, sg)
-		})
+		st, err := cur.ix.QueryContext(qctx, req.QuerySpec.Query(), emit)
+		if !req.OmitHits {
+			answers = len(hits)
+		}
 		if qsp != nil {
-			qsp.TagInt("answers", int64(len(hits)))
+			qsp.TagInt("answers", int64(answers))
 			qsp.TagInt("pages_read", st.PagesRead)
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				qsp.Tag("cancelled", "true")
@@ -597,26 +588,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.metrics.OnFailure(ep)
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				s.observeSlow(ep, querySummary(&req), time.Since(start), io, len(hits), "deadline", root, nil)
+				s.observeSlow(ep, summary, time.Since(start), io, answers, "deadline", root, nil)
 				httpError(w, http.StatusServiceUnavailable, "query cancelled: "+err.Error())
 			} else {
-				s.observeSlow(ep, querySummary(&req), time.Since(start), io, len(hits), "error", root, nil)
+				s.observeSlow(ep, summary, time.Since(start), io, answers, "error", root, nil)
 				httpError(w, http.StatusInternalServerError, err.Error())
 			}
 			return
 		}
-		resp.Count = len(hits)
-		if !req.OmitHits {
-			resp.Hits = toWire(hits)
-		}
-		answers = len(hits)
 	}
 	elapsed := time.Since(start)
-	resp.ElapsedMS = float64(elapsed) / 1e6
 	s.metrics.OnDone(ep, elapsed, answers, io)
-	s.observeSlow(ep, querySummary(&req), elapsed, io, answers, "ok", root, results)
+	s.observeSlow(ep, summary, elapsed, io, answers, "ok", root, results)
 	_, esp := trace.StartSpan(rctx, trace.StageEncode)
-	writeJSON(w, http.StatusOK, resp)
+	bp := getBuf()
+	var err error
+	if ep == EPBatch {
+		*bp, err = appendBatchResponse(*bp, results, req.OmitHits, par, float64(elapsed)/1e6)
+	} else {
+		*bp, err = appendSingleResponse(*bp, answers, hits, float64(elapsed)/1e6)
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+	} else {
+		writeBody(w, *bp)
+	}
+	putBuf(bp)
 	esp.End()
 }
 
@@ -721,24 +718,25 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, ep Endpoin
 		}
 	}
 	elapsed := time.Since(start)
+	summary := func() string { return updateSummary(ep, &req) }
 	var io QueryIO
 	io.AddUpdate(ust)
 	if err != nil {
 		if errors.Is(err, segdb.ErrInvalidSegment) {
 			s.metrics.OnError(ep)
-			s.observeSlow(ep, updateSummary(ep, &req), elapsed, io, 0, "error", root, nil)
+			s.observeSlow(ep, summary, elapsed, io, 0, "error", root, nil)
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		// Anything else is the durability machinery failing (wedged WAL,
 		// dying disk): a 5xx, and the server stays up serving reads.
 		s.metrics.OnFailure(ep)
-		s.observeSlow(ep, updateSummary(ep, &req), elapsed, io, 0, "failure", root, nil)
+		s.observeSlow(ep, summary, elapsed, io, 0, "failure", root, nil)
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.metrics.OnDone(ep, elapsed, 0, io)
-	s.observeSlow(ep, updateSummary(ep, &req), elapsed, io, 0, "ok", root, nil)
+	s.observeSlow(ep, summary, elapsed, io, 0, "ok", root, nil)
 	_, esp := trace.StartSpan(rctx, trace.StageEncode)
 	writeJSON(w, http.StatusOK, UpdateResponse{
 		Found:        found,
@@ -751,17 +749,18 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, ep Endpoin
 }
 
 // observeSlow logs the request if it crossed a slow-query threshold.
-// summary is the compact query/update shape for the log's Query column;
-// root (nil when untraced) donates the trace ID, and results carry a
-// batch's per-subquery attribution.
-func (s *Server) observeSlow(ep Endpoint, summary string, elapsed time.Duration, io QueryIO, answers int, status string, root *trace.Span, results []segdb.BatchResult) {
+// summary renders the compact query/update shape for the log's Query
+// column — only for requests that are logged; root (nil when untraced)
+// donates the trace ID, and results carry a batch's per-subquery
+// attribution.
+func (s *Server) observeSlow(ep Endpoint, summary func() string, elapsed time.Duration, io QueryIO, answers int, status string, root *trace.Span, results []segdb.BatchResult) {
 	if !s.slow.Crossed(elapsed, io.PagesRead) {
 		return
 	}
 	e := SlowEntry{
 		Time:         time.Now(),
 		Endpoint:     endpointNames[ep],
-		Query:        summary,
+		Query:        summary(),
 		Status:       status,
 		ElapsedMS:    float64(elapsed) / 1e6,
 		PagesRead:    io.PagesRead,

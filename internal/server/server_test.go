@@ -127,6 +127,9 @@ func TestServeCorrectness(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || qr.Hits != nil {
 		t.Fatalf("omit_hits: HTTP %d, hits %v", resp.StatusCode, qr.Hits)
 	}
+	if want := len(segdb.FilterHits(segdb.VLine(queries[0].X), segs)); qr.Count != want {
+		t.Fatalf("omit_hits: count %d, want %d", qr.Count, want)
+	}
 }
 
 // blockingIndex parks every query until release is closed, making
