@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
+.PHONY: all build fmt vet test race bench fuzz-smoke serve-smoke repl-smoke shard-smoke trace-smoke wal-crash ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when any Go file differs from gofmt's output.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -15,11 +19,12 @@ test:
 
 # Race-detector gate: every concurrency-sensitive test (pager races,
 # singleflight, QueryBatch, SyncIndex stress, server admission/drain,
-# crash matrix, compaction vs concurrent commits) must pass under -race.
-# The pager's shared read views and the server's parallel response
-# encoder get ten repetitions of their concurrency tests.
+# crash matrix, compaction vs concurrent commits, durable open) must
+# pass under -race. The pager's shared read views and the server's
+# parallel response encoder get ten repetitions of their concurrency
+# tests.
 race:
-	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact' ./internal/pager ./internal/server ./...
+	$(GO) test -race -run 'Concurrent|Race|Sync|Singleflight|Batch|Admission|Drain|Gate|Histogram|Serve|Crash|Repl|Shard|Compact|DurableOpen' ./internal/pager ./internal/server ./...
 	$(GO) test -race -count=10 -run 'Concurrent|Singleflight' ./internal/pager ./internal/server
 
 bench:
@@ -61,4 +66,4 @@ trace-smoke:
 wal-crash:
 	$(GO) test -race -run 'DurableCrash|DurableCheckpoint|WALCrash|TornTail|ShardCrash' . ./internal/wal ./internal/shard
 
-ci: vet build test race wal-crash serve-smoke repl-smoke shard-smoke trace-smoke
+ci: fmt vet build test race wal-crash serve-smoke repl-smoke shard-smoke trace-smoke

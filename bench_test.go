@@ -450,3 +450,27 @@ func BenchmarkE14BridgeSpacing(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOpenDurableIndex: the start-up cost of a read-write index, as
+// segdbd -wal pays it — open a 20k-segment `layers` checkpoint with an
+// empty WAL, ready to serve.
+func BenchmarkOpenDurableIndex(b *testing.B) {
+	const n = 20000
+	dir := b.TempDir()
+	path, walPath := dir+"/ix.db", dir+"/ix.wal"
+	segs := workload.Layers(rand.New(rand.NewSource(benchSeed)), n/100+1, 100, n)
+	if err := segdb.BuildIndexFile(path, segdb.Options{B: benchB}, 1, segs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := segdb.OpenDurableIndex(path, walPath, segdb.DurableOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -147,13 +147,11 @@ func Open(st *Store) (Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segdb: no catalog: %w", err)
 	}
-	c := pager.NewBuf(page)
-	if c.U32() != catalogMagic {
-		return nil, fmt.Errorf("segdb: page 1 is not a segdb catalog")
+	cat, err := parseCatalog(page)
+	if err != nil {
+		return nil, err
 	}
-	switch v := c.U8(); {
-	case v != catalogVersionPlain && v != catalogVersionChecksum:
-		return nil, fmt.Errorf("segdb: catalog version %d: %w", v, ErrVersion)
+	switch v := cat.version; {
 	case v == catalogVersionChecksum && !st.Checksummed():
 		// A v3 file read through a plain device would misplace every page
 		// (the physical pages are trailer-widened) — refuse early.
@@ -161,42 +159,74 @@ func Open(st *Store) (Index, error) {
 	case v == catalogVersionPlain && st.Checksummed():
 		return nil, fmt.Errorf("segdb: catalog is v%d (plain) but the store's device expects checksummed pages; open the file with OpenIndexFile", v)
 	}
-	kind := c.U8()
-	c.Skip(2)
-	b := int(c.U32())
 	// The store's page size is chosen by the caller (the -b flag of the
 	// tools); if it disagrees with the size the catalog was written under,
 	// every node read would silently slice the wrong byte ranges. The
 	// magic still matches in that case (it sits at offset 0 of the file),
 	// so this is the only place the mismatch is detectable.
-	if ps := int(pager.NewBuf(page).Seek(catalogPageSizeOff).U32()); ps != st.PageSize() {
+	if cat.pageSize != st.PageSize() {
 		return nil, fmt.Errorf(
 			"segdb: catalog written with page size %d (block capacity B=%d) but the store was opened with page size %d; reopen with the build-time -b, or probe it with OpenIndexFile(path, 0, ...)",
-			ps, b, st.PageSize())
+			cat.pageSize, cat.b, st.PageSize())
 	}
-	flag := c.U8()
-	c.Skip(3)
-	param := c.F64()
-	root := c.Page()
-	length := int(c.U32())
-	next := c.Page()
+	return cat.attach(st)
+}
 
-	st.Reserve(next)
-	switch kind {
+// catalog is a decoded catalog page.
+type catalog struct {
+	version  int
+	kind     int
+	b        int
+	flag     uint8   // Solution 1: plain PST
+	param    float64 // Solution 1: α; Solution 2: D
+	root     pager.PageID
+	length   int
+	next     pager.PageID // allocator high-water mark
+	pageSize int
+}
+
+// parseCatalog decodes a catalog page, checking its magic and version.
+func parseCatalog(page []byte) (catalog, error) {
+	c := pager.NewBuf(page)
+	if c.U32() != catalogMagic {
+		return catalog{}, fmt.Errorf("segdb: page 1 is not a segdb catalog")
+	}
+	cat := catalog{version: int(c.U8())}
+	if cat.version != catalogVersionPlain && cat.version != catalogVersionChecksum {
+		return catalog{}, fmt.Errorf("segdb: catalog version %d: %w", cat.version, ErrVersion)
+	}
+	cat.kind = int(c.U8())
+	c.Skip(2)
+	cat.b = int(c.U32())
+	cat.flag = c.U8()
+	c.Skip(3)
+	cat.param = c.F64()
+	cat.root = c.Page()
+	cat.length = int(c.U32())
+	cat.next = c.Page()
+	cat.pageSize = int(c.U32())
+	return cat, nil
+}
+
+// attach restores the catalog's allocator high-water mark on st and
+// reattaches the index it records.
+func (cat catalog) attach(st *Store) (Index, error) {
+	st.Reserve(cat.next)
+	switch cat.kind {
 	case kindSolution1:
-		ix, err := sol1.Attach(st, sol1.Config{B: b, Plain: flag == 1, Alpha: param}, root, length)
+		ix, err := sol1.Attach(st, sol1.Config{B: cat.b, Plain: cat.flag == 1, Alpha: cat.param}, cat.root, cat.length)
 		if err != nil {
 			return nil, err
 		}
 		return core.Solution1{Index: ix}, nil
 	case kindSolution2:
-		ix, err := sol2.Attach(st, sol2.Config{B: b, D: int(param)}, root, length)
+		ix, err := sol2.Attach(st, sol2.Config{B: cat.b, D: int(cat.param)}, cat.root, cat.length)
 		if err != nil {
 			return nil, err
 		}
 		return core.Solution2{Index: ix}, nil
 	default:
-		return nil, fmt.Errorf("segdb: catalog has unknown index kind %d", kind)
+		return nil, fmt.Errorf("segdb: catalog has unknown index kind %d", cat.kind)
 	}
 }
 
@@ -215,13 +245,19 @@ func probeFile(path string) (b, pageSize, version int, err error) {
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("segdb: probe %s: %w", path, err)
 	}
-	if fi.Size() == 0 {
+	return probeImage(path, f, fi.Size())
+}
+
+// probeImage is probeFile on the size bytes of file path readable from
+// f, which may be the file itself or an image of it already in memory.
+func probeImage(path string, f io.ReaderAt, size int64) (b, pageSize, version int, err error) {
+	if size == 0 {
 		return 0, 0, 0, fmt.Errorf("segdb: probe %s: zero-length file: %w", path, ErrTruncated)
 	}
 	var hdr [catalogPageSizeOff + 4]byte
-	if fi.Size() < int64(len(hdr)) {
+	if size < int64(len(hdr)) {
 		return 0, 0, 0, fmt.Errorf("segdb: probe %s: %d bytes is shorter than the %d-byte catalog header: %w",
-			path, fi.Size(), len(hdr), ErrTruncated)
+			path, size, len(hdr), ErrTruncated)
 	}
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return 0, 0, 0, fmt.Errorf("segdb: probe %s: catalog header unreadable: %w", path, err)
@@ -243,9 +279,9 @@ func probeFile(path string) (b, pageSize, version int, err error) {
 		// A plain store is always a whole number of pages; a ragged size
 		// means a truncated write — or a checksummed file whose version
 		// byte rotted to 2, since v3's 8-byte trailers break alignment.
-		if fi.Size()%int64(pageSize) != 0 {
+		if size%int64(pageSize) != 0 {
 			return 0, 0, 0, fmt.Errorf("segdb: probe %s: size %d is not a multiple of the %d-byte page: %w",
-				path, fi.Size(), pageSize, ErrTruncated)
+				path, size, pageSize, ErrTruncated)
 		}
 	}
 	if version == catalogVersionChecksum {

@@ -1,6 +1,7 @@
 package segdb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,10 +34,13 @@ var ErrReplica = errors.New("segdb: read-only replica")
 //
 // The index file at path is never mutated in place — it changes only
 // through the shadow-file commit of BuildIndexFile, during Compact. The
-// live index instead lives on an in-memory store, rebuilt at open from
-// the checkpoint file's segments plus a replay of the WAL tail. Crash
-// safety therefore reduces to two already-proven protocols: the atomic
-// checkpoint rename and the append-only CRC-framed log (internal/wal).
+// live index instead lives on an in-memory store. Open loads the
+// checkpoint file's pages into that store as they are, attaches at the
+// root its catalog records, and replays the WAL tail: the checkpoint's
+// pages are Theorem 1's external-memory structure, so nothing is
+// rebuilt. Crash safety therefore reduces to two already-proven
+// protocols: the atomic checkpoint rename and the append-only
+// CRC-framed log (internal/wal).
 //
 // An update applies to the live index first (so a validation error never
 // reaches the log), appends one logical record, and acknowledges only
@@ -55,9 +59,11 @@ var ErrReplica = errors.New("segdb: read-only replica")
 // every later update fails with the latched error while reads keep
 // working; reopen to recover. The one exception: if a failed append's
 // rollback also fails, the live index has diverged from anything
-// recovery can rebuild, so it is poisoned and reads fail too. Only Solution 1 qualifies: the paper's
-// Theorem 1 structure is fully dynamic, while Solution 2 has no Delete
-// and would break the upsert replay.
+// recovery can reconstruct, so it is poisoned and reads fail too.
+//
+// Only Solution 1 qualifies: the paper's Theorem 1 structure is fully
+// dynamic, while Solution 2 has no Delete and would break the upsert
+// replay.
 type DurableIndex struct {
 	path      string
 	epochPath string // "" = rotation epoch not persisted (injected-WAL tests)
@@ -153,9 +159,12 @@ type DurableOptions struct {
 }
 
 // OpenDurableIndex opens (creating if absent) the Solution-1 index file
-// at path and its write-ahead log at walPath, replays the log tail, and
-// returns the index ready to serve reads and durable writes. The log's
-// rotation epoch persists in a sidecar at walPath + ".epoch".
+// at path and its write-ahead log at walPath, loads the file's pages as
+// the live index, replays the log tail, and returns the index ready to
+// serve reads and durable writes. A damaged checkpoint page fails the
+// open with a wrapped ErrCorrupt, and a file cut mid-page with
+// ErrTruncated. The log's rotation epoch persists in a sidecar at
+// walPath + ".epoch".
 func OpenDurableIndex(path, walPath string, dopt DurableOptions) (*DurableIndex, error) {
 	if dopt.WALFile != nil {
 		return openDurableIndex(path, dopt, dopt.WALFile, deviceWrapper(dopt.CheckpointDevice))
@@ -190,39 +199,29 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		}
 	}
 
-	st, ix, err := OpenIndexFile(path, 0, buildCachePages)
+	dev, cat, err := loadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	s1, ok := ix.(core.Solution1)
-	if !ok {
-		st.Close()
-		return nil, fmt.Errorf("segdb: durable index %s: got index type %T, need Solution 1 (the fully dynamic structure)", path, ix)
+	if cat.kind != kindSolution1 {
+		return nil, fmt.Errorf("segdb: durable index %s: catalog records index kind %d, need Solution 1 (the fully dynamic structure)", path, cat.kind)
 	}
-	cfg := s1.Index.Config()
-	opt := Options{B: cfg.B, PlainPST: cfg.Plain, Alpha: cfg.Alpha}
-	segs, err := ix.Collect()
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("segdb: durable index %s: %w", path, err)
-	}
-	if err := st.Close(); err != nil {
-		return nil, fmt.Errorf("segdb: durable index %s: close: %w", path, err)
-	}
-
-	memdev := pager.Device(pager.NewMemDevice(PageSizeFor(opt.B)))
+	memdev := pager.Device(dev)
 	if dopt.LiveDevice != nil {
 		memdev = dopt.LiveDevice(memdev)
 	}
-	mem, err := pager.Open(memdev, PageSizeFor(opt.B), dopt.CachePages)
+	mem, err := pager.Open(memdev, cat.pageSize, dopt.CachePages)
 	if err != nil {
 		return nil, fmt.Errorf("segdb: durable index %s: live store: %w", path, err)
 	}
-	liveIx, err := BuildSolution1(mem, opt, segs)
+	ix, err := cat.attach(mem)
 	if err != nil {
 		mem.Close()
-		return nil, fmt.Errorf("segdb: durable index %s: rebuild live: %w", path, err)
+		return nil, fmt.Errorf("segdb: durable index %s: %w", path, err)
 	}
+	liveIx := ix.(core.Solution1)
+	cfg := liveIx.Index.Config()
+	opt := Options{B: cfg.B, PlainPST: cfg.Plain, Alpha: cfg.Alpha}
 
 	var pos replPosition
 	log, err := wal.Open(walFile, dopt.GroupCommitWindow, func(r wal.Record) error {
@@ -276,6 +275,68 @@ func openDurableIndex(path string, dopt DurableOptions, walFile wal.File, wrap d
 		d.epoch.Store(epoch)
 	}
 	return d, nil
+}
+
+// loadCheckpoint reads the checkpoint file at path in one sequential pass
+// and returns its pages as the contents of an in-memory device, together
+// with the catalog that addresses them. The pages are not copied again:
+// the device adopts each page's payload where it lies in the file image.
+//
+// The corruption rules are VerifyIndexFile's. In a checksummed (v3) file,
+// every page must verify its trailer or be entirely zero; a failing page
+// is a wrapped ErrCorrupt naming it, whether or not the index reaches it.
+// All-zero pages are allocator slack and, like pages past the end of the
+// file, are not loaded: the device reports a read of one as ErrCorrupt.
+// A file that ends mid-page is ErrTruncated. Plain (v2) files predate
+// checksums and load unverified.
+func loadCheckpoint(path string) (*pager.MemDevice, catalog, error) {
+	RecoverIndexFile(path)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return nil, catalog{}, fmt.Errorf("segdb: load %s: %w", path, err)
+	}
+	_, pageSize, version, err := probeImage(path, bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		return nil, catalog{}, err
+	}
+	phys := pageSize
+	if version == catalogVersionChecksum {
+		phys = pager.PhysicalPageSize(pageSize)
+	}
+	if len(img)%phys != 0 {
+		return nil, catalog{}, fmt.Errorf("segdb: load %s: size %d is not a multiple of the %d-byte physical page: %w",
+			path, len(img), phys, ErrTruncated)
+	}
+	cat, err := parseCatalog(img[:pageSize])
+	if err != nil {
+		return nil, catalog{}, fmt.Errorf("segdb: load %s: %w", path, err)
+	}
+	if cat.next <= catalogPage {
+		return nil, catalog{}, fmt.Errorf("segdb: load %s: catalog high-water mark %d does not cover the catalog page: %w",
+			path, cat.next, ErrCorrupt)
+	}
+	n := len(img) / phys
+	pages := make([][]byte, min(n, int(cat.next)-1))
+	for i := 0; i < n; i++ {
+		p := img[i*phys : (i+1)*phys]
+		if version == catalogVersionChecksum {
+			slack, err := checkPhysicalPage(p)
+			if err != nil {
+				return nil, catalog{}, fmt.Errorf("segdb: load %s: page %d: %w", path, i+1, err)
+			}
+			if slack {
+				continue
+			}
+		}
+		if i < len(pages) {
+			pages[i] = p[:pageSize:pageSize]
+		}
+	}
+	dev, err := pager.NewMemDeviceFrom(pageSize, pages)
+	if err != nil {
+		return nil, catalog{}, fmt.Errorf("segdb: load %s: %w", path, err)
+	}
+	return dev, cat, nil
 }
 
 // loadEpoch reads the persisted rotation epoch; a missing sidecar is
@@ -696,7 +757,8 @@ func (d *DurableIndex) Snapshot() (io.ReadCloser, SnapshotInfo, error) {
 // corrupting — and is appended to the local log; one Sync covers the
 // whole batch. On an apply or append error the live state may have
 // diverged from the local log mid-batch; the follower recovers by
-// reopening, which rebuilds from what the local log durably holds.
+// reopening, which reconstructs the state from the checkpoint and what
+// the local log durably holds.
 func (d *DurableIndex) ApplyReplicated(recs []wal.Record) error {
 	d.upMu.Lock()
 	var lsn int64

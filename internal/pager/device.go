@@ -36,12 +36,28 @@ func NewMemDevice(pageSize int) *MemDevice {
 	return &MemDevice{pageSize: pageSize}
 }
 
-// ReadPage implements Device.
+// NewMemDeviceFrom returns an in-memory device whose contents are pages:
+// pages[i] becomes page index i as is, without a copy, so the device owns
+// the slices from then on and later writes land in them. A nil entry is a
+// hole, like every index past the end. It is the bulk-load entry for
+// contents read from elsewhere, such as a checkpoint file loaded whole.
+func NewMemDeviceFrom(pageSize int, pages [][]byte) (*MemDevice, error) {
+	for i, p := range pages {
+		if p != nil && len(p) != pageSize {
+			return nil, fmt.Errorf("memdevice: page %d: %w: got %d, want %d", i, ErrPageSize, len(p), pageSize)
+		}
+	}
+	return &MemDevice{pageSize: pageSize, pages: pages}, nil
+}
+
+// ReadPage implements Device. A page that was never written holds no
+// data a structure could have put there, so reading it is a wrapped
+// ErrCorrupt — never zeroes.
 func (d *MemDevice) ReadPage(idx uint32, p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(idx) >= len(d.pages) || d.pages[idx] == nil {
-		return fmt.Errorf("memdevice: page %d never written", idx)
+		return fmt.Errorf("memdevice: page %d never written: %w", idx, ErrCorrupt)
 	}
 	copy(p, d.pages[idx])
 	return nil

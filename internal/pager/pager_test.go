@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -385,6 +386,44 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("backing file missing: %v", err)
+	}
+}
+
+// TestMemDeviceFrom: a bulk-loaded device serves the adopted pages
+// without copying them in, reads of holes and of pages past the end are
+// ErrCorrupt rather than zeroes, and a page of the wrong size is refused.
+func TestMemDeviceFrom(t *testing.T) {
+	const size = 32
+	p0, p2 := fill(size, 1), fill(size, 9)
+	dev, err := NewMemDeviceFrom(size, [][]byte{p0, nil, p2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dev, size, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Reserve(4)
+	if got, err := st.Read(3); err != nil || !bytes.Equal(got, fill(size, 9)) {
+		t.Fatalf("Read(3) = %v, %v; want the adopted page", got, err)
+	}
+	for _, id := range []PageID{2, 4} {
+		if _, err := st.Read(id); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read(%d) of a page never written: %v, want ErrCorrupt", id, err)
+		}
+	}
+	// The device owns the adopted slices: a write lands in them.
+	if err := st.Write(1, fill(size, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p0, fill(size, 5)) {
+		t.Fatal("write to an adopted page did not land in the adopted slice")
+	}
+	if st := st.Stats(); st.Writes != 1 || st.Allocs != 0 {
+		t.Fatalf("stats after load + one write: %v", st)
+	}
+	if _, err := NewMemDeviceFrom(size, [][]byte{make([]byte, size-1)}); !errors.Is(err, ErrPageSize) {
+		t.Fatalf("short page: %v, want ErrPageSize", err)
 	}
 }
 

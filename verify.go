@@ -78,14 +78,26 @@ func verifyPhysicalPages(path string, logicalPageSize int) error {
 		if _, err := f.ReadAt(buf, pg*phys); err != nil {
 			return fmt.Errorf("segdb: verify %s: page %d unreadable: %w", path, pg+1, err)
 		}
-		if allZero(buf) {
-			continue // never written: allocator slack, not corruption
-		}
-		if err := pager.VerifyPage(buf); err != nil {
+		if _, err := checkPhysicalPage(buf); err != nil {
 			return fmt.Errorf("segdb: verify %s: page %d: %w", path, pg+1, err)
 		}
 	}
 	return nil
+}
+
+// checkPhysicalPage applies the page rule of v3 files, shared by
+// VerifyIndexFile and the durable loader: a page is intact when its
+// checksum trailer verifies, and slack — allocated but never written —
+// when it is entirely zero (any flipped bit un-zeroes it and fails the
+// trailer check). Any other page is a wrapped ErrCorrupt.
+func checkPhysicalPage(phys []byte) (slack bool, err error) {
+	if err := pager.VerifyPage(phys); err != nil {
+		if allZero(phys) {
+			return true, nil
+		}
+		return false, err
+	}
+	return false, nil
 }
 
 func allZero(b []byte) bool {
